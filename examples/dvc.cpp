@@ -6,6 +6,7 @@
 //
 //   dvc --program=pagerank --emit=ast            # transformed program
 //   dvc --file=my.dv --emit=layout               # Table-2-style state size
+//   dvc --program=pagerank --emit=cpp            # the native tier's C++ unit
 //   dvc --program=sssp --run --dataset=wikipedia-s --scale=0.01 ...
 //       --param=source=0
 //   dvc --file=my.dv --variant=dvstar --run --edges=graph.el --directed
@@ -14,60 +15,16 @@
 #include <sstream>
 
 #include "common/args.h"
-#include "dv/codegen/cpp_backend.h"
+#include "dv/codegen/native_emit.h"
 #include "dv/compiler.h"
 #include "dv/obs/report.h"
-#include "dv/programs/programs.h"
+#include "dv/programs/builtins.h"
 #include "dv/runtime/runner.h"
 #include "dv/runtime/vm.h"
 #include "graph/datasets.h"
 #include "graph/edge_list_io.h"
 
-namespace {
-
 using namespace deltav;
-
-const char* builtin_source(const std::string& name) {
-  if (name == "pagerank") return dv::programs::kPageRank;
-  if (name == "pagerank-ug") return dv::programs::kPageRankUndirected;
-  if (name == "sssp") return dv::programs::kSssp;
-  if (name == "sssp_retract") return dv::programs::kSsspRetract;
-  if (name == "cc") return dv::programs::kConnectedComponents;
-  if (name == "hits") return dv::programs::kHits;
-  if (name == "reachability") return dv::programs::kReachability;
-  if (name == "maxgossip") return dv::programs::kMaxGossip;
-  if (name == "bfs") return dv::programs::kBfs;
-  if (name == "kcore") return dv::programs::kKCore;
-  if (name == "mis") return dv::programs::kMis;
-  if (name == "pointerjump") return dv::programs::kPointerJump;
-  DV_FAIL("unknown built-in program '"
-          << name
-          << "' (try pagerank, pagerank-ug, sssp, sssp_retract, cc, hits, "
-             "reachability, maxgossip, bfs, kcore, mis, pointerjump)");
-}
-
-/// Parses repeated --param=name=value bindings (int or float literals).
-std::map<std::string, dv::Value> parse_params(const std::string& spec) {
-  std::map<std::string, dv::Value> params;
-  std::istringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    DV_CHECK_MSG(eq != std::string::npos,
-                 "--param expects name=value, got '" << item << "'");
-    const std::string name = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (value.find('.') != std::string::npos) {
-      params[name] = dv::Value::of_float(std::stod(value));
-    } else {
-      params[name] = dv::Value::of_int(std::stoll(value));
-    }
-  }
-  return params;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -80,8 +37,6 @@ int main(int argc, char** argv) {
     const std::string emit = args.get_string(
         "emit", "summary",
         "summary | ast | layout | sites | warnings | cpp | bytecode");
-    const std::string cpp_class = args.get_string(
-        "class", "DvProgram", "class name for --emit=cpp");
     const double epsilon =
         args.get_double("epsilon", 0.0, "ϵ-slop (requires variant=dv)");
     const bool do_run = args.get_bool("run", false, "execute the program");
@@ -122,7 +77,7 @@ int main(int argc, char** argv) {
       buf << in.rdbuf();
       source = buf.str();
     } else if (!program.empty()) {
-      source = builtin_source(program);
+      source = dv::programs::builtin_program_source(program);
     } else {
       std::cerr << "dvc: pass --program=<name> or --file=<path> "
                    "(--help for usage)\n";
@@ -148,7 +103,13 @@ int main(int argc, char** argv) {
       std::cerr << "dvc: " << w << "\n";
 
     if (emit == "cpp") {
-      std::cout << dv::emit_cpp(cp, cpp_class);
+      // The translation unit the native tier compiles (--tier=native).
+      const auto unit = dv::native::emit_native_unit(cp);
+      if (!unit.unsupported.empty()) {
+        std::cerr << "dvc: --emit=cpp: " << unit.unsupported << "\n";
+        return 1;
+      }
+      std::cout << unit.source;
     } else if (emit == "bytecode") {
       std::cout << dv::to_string(dv::lower_program(cp));
     } else if (emit == "ast") {
@@ -187,7 +148,7 @@ int main(int argc, char** argv) {
       dv::DvRunOptions ropts;
       ropts.engine.num_workers = workers;
       ropts.tier = dv::parse_exec_tier(tier);
-      ropts.params = parse_params(param_spec);
+      ropts.params = dv::programs::parse_params(param_spec);
       ropts.collector = obs.collector();
       const auto result = dv::run_program(cp, g, ropts);
       std::cout << "done: " << result.stats.summary() << "\n";

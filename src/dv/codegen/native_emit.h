@@ -2,9 +2,8 @@
 // translation unit implementing every evaluation root as straight-line
 // code over the native C ABI (native_abi.h).
 //
-// Where cpp_backend.h emits an *offline*, human-facing vertex program
-// (its own engine loop, its own message struct), this emitter produces
-// the runtime tier's object: the emitted functions are drop-in
+// This is the repo's only C++ code generator; `dvc --emit=cpp` prints
+// its unit. The emitted functions are drop-in
 // replacements for the tree walker's eval() on the exact root set the
 // bytecode VM compiles (init, statement bodies, until clauses, per-site
 // send expressions), called by the runner through dlopen-ed function

@@ -1,52 +1,14 @@
 #include "dv/serve/registry.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
 #include "dv/persist/snapshot.h"
-#include "dv/programs/programs.h"
+#include "dv/programs/builtins.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 
 namespace deltav::dv::serve {
-
-bool program_is_path(const std::string& program) {
-  if (program.find('/') != std::string::npos) return true;
-  return program.size() > 3 &&
-         program.compare(program.size() - 3, 3, ".dv") == 0;
-}
-
-const char* builtin_program_source(const std::string& name) {
-  if (name == "pagerank") return programs::kPageRank;
-  if (name == "pagerank-ug") return programs::kPageRankUndirected;
-  if (name == "sssp") return programs::kSssp;
-  if (name == "sssp_retract") return programs::kSsspRetract;
-  if (name == "cc") return programs::kConnectedComponents;
-  if (name == "hits") return programs::kHits;
-  if (name == "reachability") return programs::kReachability;
-  if (name == "maxgossip") return programs::kMaxGossip;
-  if (name == "bfs") return programs::kBfs;
-  if (name == "kcore") return programs::kKCore;
-  if (name == "mis") return programs::kMis;
-  if (name == "pointerjump") return programs::kPointerJump;
-  DV_FAIL("unknown built-in program '"
-          << name
-          << "' (try pagerank, pagerank-ug, sssp, sssp_retract, cc, hits, "
-             "reachability, maxgossip, bfs, kcore, mis, pointerjump — or "
-             "pass a path to a .dv file)");
-}
-
-std::string load_program_source(const std::string& program) {
-  DV_CHECK_MSG(!program.empty(), "empty program spec");
-  if (!program_is_path(program)) return builtin_program_source(program);
-  std::ifstream in(program);
-  DV_CHECK_MSG(in.good(), "cannot open ΔV source '" << program << "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 graph::CsrGraph load_graph_spec(const std::string& spec, bool undirected,
                                 bool weighted) {
@@ -91,30 +53,6 @@ graph::CsrGraph load_graph_spec(const std::string& spec, bool undirected,
   return graph::read_edge_list_file(spec, gopts);
 }
 
-std::map<std::string, Value> parse_params(const std::string& spec) {
-  std::map<std::string, Value> params;
-  std::istringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    DV_CHECK_MSG(eq != std::string::npos,
-                 "params expect name=value, got '" << item << "'");
-    const std::string name = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    try {
-      if (value.find('.') != std::string::npos) {
-        params[name] = Value::of_float(std::stod(value));
-      } else {
-        params[name] = Value::of_int(std::stoll(value));
-      }
-    } catch (const std::logic_error&) {
-      DV_FAIL("param '" << item << "' has a malformed value");
-    }
-  }
-  return params;
-}
-
 std::shared_ptr<SessionHost> Registry::create(const CreateSpec& spec) {
   DV_CHECK_MSG(!spec.name.empty(), "session name must be non-empty");
   {
@@ -126,12 +64,12 @@ std::shared_ptr<SessionHost> Registry::create(const CreateSpec& spec) {
   // CompiledProgram is move-only (the AST owns its expression trees), so
   // each construction attempt compiles its own copy — compilation is
   // cheap next to the convergence the host is about to run.
-  const std::string source = load_program_source(spec.program);
+  const std::string source = programs::load_program_source(spec.program);
   CompileOptions copts;
   copts.epsilon = spec.epsilon;
   const auto make_options = [&] {
     HostOptions hopts = spec.host;
-    hopts.session.run.params = parse_params(spec.params);
+    hopts.session.run.params = programs::parse_params(spec.params);
     hopts.program_label = spec.program;
     hopts.graph_label = spec.graph;
     return hopts;

@@ -1,5 +1,6 @@
-// Session registry: the daemon's name → SessionHost map, plus the spec
-// parsing shared by the daemon, the bench harness and the tests.
+// Session registry: the daemon's name → SessionHost map, plus the graph
+// spec parsing shared by the daemon, the bench harnesses and the tests
+// (program specs and params parse in dv/programs/builtins.h).
 //
 // A CreateSpec is everything the CREATE protocol verb carries: which
 // program (a built-in name or a ΔV source file), which graph (an
@@ -34,8 +35,7 @@ namespace deltav::dv::serve {
 struct CreateSpec {
   std::string name;
   std::string program;  // built-in name ("cc", "pagerank", ...) or a path
-                        // to a ΔV source file (anything containing '/' or
-                        // ending in ".dv" is treated as a path)
+                        // to a ΔV source file (programs::program_is_path)
   std::string graph;    // edge-list path or "rmat:<scale>x<degree>[:seed]"
   bool undirected = false;
   bool weighted = false;
@@ -45,25 +45,10 @@ struct CreateSpec {
   std::string restore_from;  // optional snapshot file to warm-start from
 };
 
-/// True when `program` should be read from disk rather than looked up in
-/// the built-in table.
-bool program_is_path(const std::string& program);
-
-/// Built-in source for `name`; throws CheckError (listing the names) when
-/// unknown. Same table as the dv_stream tool.
-const char* builtin_program_source(const std::string& name);
-
-/// Resolves CreateSpec::program to ΔV source text (reads the file when
-/// program_is_path).
-std::string load_program_source(const std::string& program);
-
 /// Materializes CreateSpec::graph: `rmat:<scale>x<degree>[:seed]` (2^scale
 /// vertices, degree·2^scale edges, default seed 42) or an edge-list file.
 graph::CsrGraph load_graph_spec(const std::string& spec, bool undirected,
                                 bool weighted);
-
-/// Parses "a=1,b=2.5" into param bindings (decimal point → float).
-std::map<std::string, Value> parse_params(const std::string& spec);
 
 class Registry {
  public:

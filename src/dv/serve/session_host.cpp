@@ -36,6 +36,7 @@ SessionHost::SessionHost(std::string name, CompiledProgram cp,
   }
   session_ = streaming::make_stream_session(cp_, std::move(base),
                                             options_.session);
+  admitted_vertices_ = session_->graph().num_vertices();
   start();
 }
 
@@ -52,6 +53,7 @@ SessionHost::SessionHost(std::string name, CompiledProgram cp,
   // thread exists, so a failed restore never leaves a half-started host.
   session_ = streaming::DvStreamSession::restore_bytes(
       cp_, std::move(snapshot), options_.session);
+  admitted_vertices_ = session_->graph().num_vertices();
   start();
 }
 
@@ -222,6 +224,12 @@ void SessionHost::enqueue(graph::MutationBatch batch) {
                  "session '" << name_ << "' failed: " << error_);
     DV_CHECK_MSG(!stop_ && !kill_,
                  "session '" << name_ << "' is shutting down");
+    // Refuse here, not on the engine thread: a batch that plan() would
+    // reject must never reach the queue and latch the whole host failed.
+    // The count covers every batch admitted so far, so an addv queued
+    // earlier makes its new ids valid for the batches behind it.
+    admitted_vertices_ =
+        graph::checked_vertex_count(batch, admitted_vertices_);
     queue_.push_back(std::move(batch));
     depth = queue_.size();
   }

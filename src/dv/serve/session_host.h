@@ -30,8 +30,9 @@
 // after *any* partition of the mutation stream into epochs (the stream
 // fuzz tier's invariant), so coalescing changes cost, never results.
 //
-// Failure: if the engine thread throws (malformed mutation against the
-// live graph, superstep cap, ...), the host latches the error; every
+// Failure: a batch naming a vertex out of range is refused at admission
+// and the host keeps serving. If the engine thread throws (superstep cap,
+// ...), the host latches the error; every
 // subsequent enqueue/flush/read surfaces it instead of hanging. The
 // daemon maps it to an ERR response; the session stays down until closed.
 #pragma once
@@ -131,7 +132,9 @@ class SessionHost {
   const HostOptions& options() const { return options_; }
 
   /// Admits one batch (blocks while the queue is at queue_limit). Throws
-  /// CheckError if the host failed or is shutting down.
+  /// CheckError if the host failed or is shutting down, or — refusing the
+  /// batch and leaving the host serving — if it names a vertex beyond the
+  /// vertex count after every batch admitted before it.
   void enqueue(graph::MutationBatch batch);
   /// Blocks until every admitted batch has been applied and published
   /// (and the host is ready). Throws if the host failed.
@@ -190,6 +193,7 @@ class SessionHost {
   mutable std::condition_variable cv_space_;  // writer backpressure
   mutable std::condition_variable cv_state_;  // ready/flush/snapshot waiters
   std::vector<graph::MutationBatch> queue_;
+  std::size_t admitted_vertices_ = 0;  // |V| once every queued batch applies
   bool stop_ = false;
   bool kill_ = false;
   bool paused_ = false;

@@ -6,7 +6,6 @@
 //
 //   compile      both variants compile; the final-stage verifier accepts
 //                both ASTs
-//   codegen      single-statement programs survive the C++ backend
 //   values       user-visible vertex state agrees between ΔV and ΔV*
 //                (and between worker counts, for the ΔV variant)
 //   meaningful   every live ΔV message is meaningful (Definition 1):
@@ -36,7 +35,6 @@ struct DiffOptions {
   /// ΔV product accumulator multiplies ratios instead of raw values.
   double float_tol = 1e-6;
   std::size_t max_supersteps = 5000;
-  bool check_codegen = true;
   bool check_eq11 = true;
   bool check_message_counts = true;
   bool check_determinism = true;

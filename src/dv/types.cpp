@@ -30,19 +30,6 @@ bool agg_identity_bool(AggOp op) {
   }
 }
 
-double agg_absorbing_double(AggOp op) {
-  DV_CHECK(op == AggOp::kProd);
-  return 0.0;
-}
-
-bool agg_absorbing_bool(AggOp op) {
-  switch (op) {
-    case AggOp::kAnd: return false;
-    case AggOp::kOr: return true;
-    default: DV_FAIL("no bool absorbing element for " << agg_op_name(op));
-  }
-}
-
 bool agg_supports_type(AggOp op, Type t) {
   switch (op) {
     case AggOp::kSum:

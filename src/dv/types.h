@@ -120,11 +120,6 @@ double agg_identity_double(AggOp op);
 std::int64_t agg_identity_int(AggOp op);
 bool agg_identity_bool(AggOp op);
 
-/// The absorbing ("nullary") element of a multiplicative operator: 0 for *,
-/// false for &&, true for ||.
-double agg_absorbing_double(AggOp op);
-bool agg_absorbing_bool(AggOp op);
-
 /// Whether this operator/type combination is legal (e.g. && only on bool).
 bool agg_supports_type(AggOp op, Type t);
 

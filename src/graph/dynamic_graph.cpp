@@ -38,12 +38,24 @@ double DynamicGraph::arc_weight(VertexId src, VertexId dst) const {
   return out_weights(src)[pos];
 }
 
+std::size_t checked_vertex_count(const MutationBatch& batch,
+                                 std::size_t num_vertices) {
+  const std::size_t new_n = num_vertices + batch.add_vertices;
+  DV_CHECK_MSG(new_n < (1ULL << 32), "vertex ids are 32-bit");
+  for (const MutationBatch::EdgeOp& op : batch.edges)
+    DV_CHECK_MSG(op.src < new_n && op.dst < new_n,
+                 "mutation edge (" << op.src << "," << op.dst
+                                   << ") out of range for |V|=" << new_n);
+  for (const VertexId v : batch.detach_vertices)
+    DV_CHECK_MSG(v < new_n,
+                 "detach of vertex " << v << " out of range for |V|=" << new_n);
+  return new_n;
+}
+
 GraphDelta DynamicGraph::plan(const MutationBatch& batch) const {
   GraphDelta delta;
   delta.old_num_vertices = n_;
-  delta.new_num_vertices = n_ + batch.add_vertices;
-  const std::size_t new_n = delta.new_num_vertices;
-  DV_CHECK_MSG(new_n < (1ULL << 32), "vertex ids are 32-bit");
+  delta.new_num_vertices = checked_vertex_count(batch, n_);
 
   // Net per-edge state, resolved sequentially in batch order. Keys are the
   // stored-arc pair for directed graphs and the unordered pair for
@@ -75,9 +87,6 @@ GraphDelta DynamicGraph::plan(const MutationBatch& batch) const {
   };
 
   for (const MutationBatch::EdgeOp& op : batch.edges) {
-    DV_CHECK_MSG(op.src < new_n && op.dst < new_n,
-                 "mutation edge (" << op.src << "," << op.dst
-                                   << ") out of range for |V|=" << new_n);
     if (op.src == op.dst) {
       ++delta.self_loops_dropped;
       continue;
@@ -106,8 +115,6 @@ GraphDelta DynamicGraph::plan(const MutationBatch& batch) const {
   std::sort(detach.begin(), detach.end());
   detach.erase(std::unique(detach.begin(), detach.end()), detach.end());
   for (const VertexId v : detach) {
-    DV_CHECK_MSG(v < new_n,
-                 "detach of vertex " << v << " out of range for |V|=" << new_n);
     if (v < n_) {
       for (const VertexId u : out_neighbors(v)) lookup(v, u);
       if (directed())

@@ -59,6 +59,14 @@ struct MutationBatch {
   }
 };
 
+/// |V| once `batch` applies to a graph of `num_vertices` vertices:
+/// num_vertices + batch.add_vertices. Throws CheckError naming the first
+/// edge endpoint or detached vertex outside that range. This is plan()'s
+/// precondition, and serving checks it at admission so a bad batch is
+/// refused before it is queued.
+std::size_t checked_vertex_count(const MutationBatch& batch,
+                                 std::size_t num_vertices);
+
 /// One stored arc whose presence or weight changes. Undirected edges
 /// contribute two ArcChange entries (one per stored direction), mirroring
 /// how CsrGraph stores them and how the runtime's send loops walk them.

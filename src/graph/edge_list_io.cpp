@@ -1,8 +1,9 @@
 #include "graph/edge_list_io.h"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
 
 #include "graph/graph_builder.h"
 
@@ -10,17 +11,13 @@ namespace deltav::graph {
 
 CsrGraph read_edge_list(std::istream& in, const EdgeListOptions& options) {
   struct RawEdge {
-    std::uint64_t src, dst;
+    VertexId src, dst;
     double weight;
   };
+  // The largest id keeps |V| = max id + 1 representable as a VertexId.
+  constexpr std::uint64_t kMaxId = std::numeric_limits<VertexId>::max() - 1;
   std::vector<RawEdge> raw;
-  std::unordered_map<std::uint64_t, VertexId> dense;
-  auto densify = [&](std::uint64_t id) {
-    auto [it, inserted] =
-        dense.emplace(id, static_cast<VertexId>(dense.size()));
-    (void)inserted;
-    return it->second;
-  };
+  std::size_t num_vertices = 0;
 
   std::string line;
   std::size_t lineno = 0;
@@ -31,22 +28,20 @@ CsrGraph read_edge_list(std::istream& in, const EdgeListOptions& options) {
     std::uint64_t s, d;
     if (!(ls >> s >> d))
       DV_FAIL("edge list line " << lineno << ": expected 'src dst'");
+    if (s > kMaxId || d > kMaxId)
+      DV_FAIL("edge list line " << lineno << ": vertex id "
+                                << std::max(s, d) << " exceeds " << kMaxId);
     double w = 1.0;
     if (options.weighted && !(ls >> w))
       DV_FAIL("edge list line " << lineno << ": expected weight");
-    raw.push_back(RawEdge{s, d, w});
+    raw.push_back(RawEdge{static_cast<VertexId>(s), static_cast<VertexId>(d),
+                          w});
+    num_vertices = std::max<std::size_t>(num_vertices, std::max(s, d) + 1);
   }
 
-  // Two passes so ids are assigned in first-appearance order, which keeps
-  // round-trips deterministic.
-  for (const auto& e : raw) {
-    densify(e.src);
-    densify(e.dst);
-  }
-  GraphBuilder b(dense.size(), options.directed);
+  GraphBuilder b(num_vertices, options.directed);
   b.deduplicate(options.deduplicate).keep_weights(options.weighted);
-  for (const auto& e : raw)
-    b.add_edge(densify(e.src), densify(e.dst), e.weight);
+  for (const auto& e : raw) b.add_edge(e.src, e.dst, e.weight);
   return b.build();
 }
 

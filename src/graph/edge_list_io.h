@@ -2,8 +2,11 @@
 //
 // Format: one edge per line, "src dst [weight]". Lines beginning with '#'
 // or '%' are comments (the conventions of SNAP and KONECT dumps, so real
-// datasets drop in unchanged when available). Vertex ids may be sparse in
-// the file; they are densified on load.
+// datasets drop in unchanged when available). Vertex ids are kept as they
+// appear in the file, so mutation streams, program params (source=...) and
+// query answers all speak the file's ids: |V| is the largest id + 1, and an
+// id that never appears is an isolated vertex. An id too large for a
+// VertexId is rejected with its line number.
 #pragma once
 
 #include <iosfwd>

@@ -21,10 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "dv/codegen/native_emit.h"
 #include "dv/codegen/native_module.h"
 #include "dv/compiler.h"
 #include "dv/obs/obs.h"
-#include "dv/programs/programs.h"
+#include "dv/programs/builtins.h"
 #include "dv/runtime/runner.h"
 #include "dv/streaming/stream_session.h"
 #include "graph/dynamic_graph.h"
@@ -368,6 +369,27 @@ iter i { seen = + [ u.mass | u <- #in ] } until { i >= 2 }
 
   expect_bit_identical(run_session(ExecTier::kNative),
                        run_session(ExecTier::kVm));
+}
+
+// The unit `dvc --emit=cpp` prints. Emission needs no host compiler, so
+// this runs everywhere: every built-in either emits a unit or names why
+// not, and only the remote-read program is outside the native tier.
+TEST(NativeEmit, EveryBuiltinEmitsAUnitOrNamesWhyNot) {
+  for (const auto& p : programs::kBuiltinPrograms) {
+    for (const bool incremental : {true, false}) {
+      SCOPED_TRACE(std::string(p.name) + (incremental ? " dv" : " dvstar"));
+      const auto unit =
+          native::emit_native_unit(compile_dv(p.source, incremental));
+      if (std::string(p.name) == "pointerjump") {
+        EXPECT_TRUE(unit.source.empty());
+        EXPECT_NE(unit.unsupported.find("remote_read"), std::string::npos)
+            << unit.unsupported;
+      } else {
+        EXPECT_EQ(unit.unsupported, "");
+        EXPECT_FALSE(unit.source.empty());
+      }
+    }
+  }
 }
 
 }  // namespace

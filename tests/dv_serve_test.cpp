@@ -286,12 +286,17 @@ TEST(SessionHost, EnqueueBlocksAtQueueLimit) {
 }
 
 TEST(SessionHost, EngineFailureSurfacesEverywhere) {
+  // A checkpoint into a missing directory throws on the engine thread
+  // after the first epoch applies.
+  HostOptions opts = host_opts();
+  opts.checkpoint_every = 1;
+  opts.checkpoint_path = "dv_serve_test_no_such_dir/ckpt.snap";
   SessionHost host("t", compile_dv(dv::programs::kConnectedComponents),
-                   two_components(), host_opts());
+                   two_components(), opts);
   host.wait_ready();
-  MutationBatch bad;
-  bad.insert_edge(0, 9999);  // beyond the id tail: apply() throws
-  host.enqueue(bad);
+  MutationBatch first;
+  first.insert_edge(3, 4);
+  host.enqueue(first);
   EXPECT_THROW(host.flush(), CheckError);
   const HostStats s = host.stats();
   EXPECT_TRUE(s.failed);
@@ -299,6 +304,45 @@ TEST(SessionHost, EngineFailureSurfacesEverywhere) {
   MutationBatch ok;
   ok.insert_edge(0, 1);
   EXPECT_THROW(host.enqueue(ok), CheckError);
+}
+
+TEST(SessionHost, OutOfRangeBatchIsRefusedAtAdmission) {
+  const auto cp = compile_dv(dv::programs::kConnectedComponents);
+  SessionHost host("t", compile_dv(dv::programs::kConnectedComponents),
+                   two_components(), host_opts());
+  host.wait_ready();
+  MutationBatch bad;
+  bad.insert_edge(0, 1);
+  bad.insert_edge(0, 9999);
+  EXPECT_THROW(host.enqueue(bad), CheckError);
+  MutationBatch bad_detach;
+  bad_detach.detach_vertices.push_back(8);
+  EXPECT_THROW(host.enqueue(bad_detach), CheckError);
+  EXPECT_FALSE(host.stats().failed);
+  EXPECT_EQ(host.stats().batches_admitted, 0u);
+
+  // New ids count from every batch admitted before, queued or not: the
+  // engine is paused, so the first addv is still in the queue when the
+  // second batch names vertex 9.
+  host.pause();
+  MutationBatch grow;
+  grow.add_vertices = 1;
+  grow.insert_edge(5, 8);  // vertex 8 is added by this same batch
+  host.enqueue(grow);
+  MutationBatch join;
+  join.add_vertices = 1;
+  join.insert_edge(8, 9);
+  join.insert_edge(3, 4);
+  host.enqueue(join);
+  MutationBatch past_tail;
+  past_tail.insert_edge(0, 10);
+  EXPECT_THROW(host.enqueue(past_tail), CheckError);
+  host.resume();
+  host.flush();
+  EXPECT_FALSE(host.stats().failed);
+  EXPECT_EQ(host.stats().batches_admitted, 2u);
+  expect_comp_matches(host, offline_cc(cp, two_components(), {grow, join}));
+  EXPECT_EQ(host.get(9, "comp").as_i(), 0);
 }
 
 TEST(SessionHost, SnapshotBytesRestoresEquivalentHost) {
@@ -419,8 +463,6 @@ TEST(Protocol, CreateMutateReadClose) {
   dv::serve::Conn conn;
   expect_line(core, conn, "PING", "OK pong");
   // Protocol graphs come from specs; give CREATE a real edge list too.
-  // Ids are contiguous on purpose: the edge-list reader densifies sparse
-  // ids, which would silently renumber the vertices GET names.
   const std::string edges = "dv_serve_test_edges.txt";
   std::ofstream(edges) << "0 1\n1 2\n3 4\n";
   expect_line(core, conn,
@@ -465,15 +507,52 @@ TEST(Protocol, ErrorsAreOneLineAndIsolated) {
   expect_line(core, conn, "FLUSH a", "OK epoch=0");
   EXPECT_EQ(core.handle_line(conn, "QUIT", &quit), "OK bye");
   EXPECT_TRUE(quit);
-  // One tenant's failure must not leak into another: break session a
-  // with an out-of-range insert, then create and serve b normally.
+  // An out-of-range insert is refused at its commit line and session a
+  // keeps serving; a second tenant is created and served beside it.
   dv::serve::Conn c2;
   expect_line(core, c2, "MUT a", "");
   core.handle_line(c2, "+ 0 99999");
-  expect_line(core, c2, "commit", "OK queued ops=1");
-  expect_line(core, c2, "FLUSH a", "ERR ");
+  const std::string refused = expect_line(core, c2, "commit", "ERR ");
+  EXPECT_NE(refused.find("out of range for |V|=16"), std::string::npos)
+      << refused;
+  expect_line(core, c2, "FLUSH a", "OK epoch=0");
   expect_line(core, c2, "CREATE b cc rmat:4x2 undirected", "OK created b");
   expect_line(core, c2, "FLUSH b", "OK epoch=0");
+}
+
+TEST(Protocol, RefusedBatchLeavesTenantServing) {
+  ServeCore core(host_opts());
+  dv::serve::Conn conn;
+  expect_line(core, conn, "CREATE a cc rmat:4x2 undirected", "OK created a");
+  // The whole batch is refused, its in-range edge too.
+  for (const char* line : {"MUT a", "+ 0 1", "+ 0 99999"})
+    EXPECT_EQ(core.handle_line(conn, line), "");
+  expect_line(core, conn, "commit", "ERR ");
+  // addv makes the new ids valid for the edges behind it.
+  for (const char* line : {"MUT a", "addv 2", "+ 0 16", "+ 16 17"})
+    EXPECT_EQ(core.handle_line(conn, line), "");
+  expect_line(core, conn, "commit", "OK queued ops=3");
+  expect_line(core, conn, "FLUSH a", "OK epoch=1");
+  expect_line(core, conn, "GET a 17 comp", "OK 0");
+}
+
+TEST(Protocol, EdgeListTenantKeepsFileIds) {
+  // Vertex 3 only has an out-edge, so BFS from file vertex 0 never
+  // reaches it; a reader that renumbered ids by first appearance would
+  // have started from file vertex 3 instead.
+  ServeCore core(host_opts());
+  dv::serve::Conn conn;
+  const std::string edges = "dv_serve_test_file_ids.txt";
+  std::ofstream(edges) << "3 1\n1 0\n0 2\n2 4\n4 5\n";
+  expect_line(core, conn, "CREATE t bfs " + edges + " params=source=0",
+              "OK created t");
+  const char* want[] = {"OK 0", "OK inf", "OK 1", "OK inf", "OK 2", "OK 3"};
+  for (int v = 0; v < 6; ++v)
+    EXPECT_EQ(core.handle_line(conn, "GET t " + std::to_string(v) + " dist"),
+              want[v])
+        << "vertex " << v;
+  expect_line(core, conn, "GET t 6 dist", "ERR ");
+  std::remove(edges.c_str());
 }
 
 // ----------------------------------------------------- mutation parsing

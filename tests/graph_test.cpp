@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <sstream>
 #include <utility>
 
+#include "algorithms/bfs.h"
 #include "common/rng.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
@@ -272,8 +274,39 @@ TEST(EdgeListIo, ParsesWithCommentsAndSparseIds) {
       "\n"
       "10 30\n");
   const auto g = read_edge_list(in, {.directed = true});
-  EXPECT_EQ(g.num_vertices(), 3u);  // densified
+  EXPECT_EQ(g.num_vertices(), 31u);  // file ids kept: |V| = max id + 1
   EXPECT_EQ(g.num_arcs(), 3u);
+  EXPECT_TRUE(g.out_neighbors(0).empty());
+  ASSERT_EQ(g.out_neighbors(20).size(), 1u);
+  EXPECT_EQ(g.out_neighbors(20)[0], 30u);
+}
+
+TEST(EdgeListIo, BfsFromFileVertexZeroUsesFileIds) {
+  // First appearance order is 3, 1, 0, 2, 4, 5; renumbering by it would
+  // put file vertex 3 at id 0 and start the search there.
+  std::istringstream in("3 1\n1 0\n0 2\n2 4\n4 5\n");
+  const auto g = read_edge_list(in, {.directed = true});
+  ASSERT_EQ(g.num_vertices(), 6u);
+  const std::vector<double> depth = algorithms::bfs_oracle(g, 0);
+  EXPECT_EQ(depth[0], 0.0);
+  EXPECT_EQ(depth[2], 1.0);
+  EXPECT_EQ(depth[5], 3.0);
+  EXPECT_TRUE(std::isinf(depth[3]));
+  EXPECT_TRUE(std::isinf(depth[1]));
+}
+
+TEST(EdgeListIo, IdBeyondVertexIdRangeNamesItsLine) {
+  std::istringstream in("0 1\n# ok\n1 4294967295\n");
+  try {
+    read_edge_list(in, {});
+    FAIL();
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+  }
+  std::istringstream negative("0 -1\n");
+  EXPECT_THROW(read_edge_list(negative, {}), CheckError);
 }
 
 TEST(EdgeListIo, WeightedParse) {

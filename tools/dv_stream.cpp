@@ -29,7 +29,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,7 +41,7 @@
 #include "dv/compiler.h"
 #include "dv/obs/report.h"
 #include "dv/persist/snapshot.h"
-#include "dv/programs/programs.h"
+#include "dv/programs/builtins.h"
 #include "dv/streaming/mutation_io.h"
 #include "dv/streaming/stream_session.h"
 #include "graph/edge_list_io.h"
@@ -50,45 +49,6 @@
 namespace {
 
 using namespace deltav;
-
-const char* builtin_source(const std::string& name) {
-  if (name == "pagerank") return dv::programs::kPageRank;
-  if (name == "pagerank-ug") return dv::programs::kPageRankUndirected;
-  if (name == "sssp") return dv::programs::kSssp;
-  if (name == "sssp_retract") return dv::programs::kSsspRetract;
-  if (name == "cc") return dv::programs::kConnectedComponents;
-  if (name == "hits") return dv::programs::kHits;
-  if (name == "reachability") return dv::programs::kReachability;
-  if (name == "maxgossip") return dv::programs::kMaxGossip;
-  if (name == "bfs") return dv::programs::kBfs;
-  if (name == "kcore") return dv::programs::kKCore;
-  if (name == "mis") return dv::programs::kMis;
-  if (name == "pointerjump") return dv::programs::kPointerJump;
-  DV_FAIL("unknown built-in program '"
-          << name
-          << "' (try pagerank, pagerank-ug, sssp, sssp_retract, cc, hits, "
-             "reachability, maxgossip, bfs, kcore, mis, pointerjump)");
-}
-
-std::map<std::string, dv::Value> parse_params(const std::string& spec) {
-  std::map<std::string, dv::Value> params;
-  std::istringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    DV_CHECK_MSG(eq != std::string::npos,
-                 "--params expects name=value, got '" << item << "'");
-    const std::string name = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (value.find('.') != std::string::npos) {
-      params[name] = dv::Value::of_float(std::stod(value));
-    } else {
-      params[name] = dv::Value::of_int(std::stoll(value));
-    }
-  }
-  return params;
-}
 
 std::string batch_summary(const graph::MutationBatch& b) {
   std::size_t ins = 0, del = 0;
@@ -269,7 +229,7 @@ int main(int argc, char** argv) {
     std::string source;
     std::string algo;
     if (!program.empty()) {
-      source = builtin_source(program);
+      source = dv::programs::builtin_program_source(program);
       algo = program;
     } else {
       std::ifstream in(file);
@@ -291,7 +251,7 @@ int main(int argc, char** argv) {
     dv::streaming::SessionOptions so;
     so.run.engine.num_workers = workers;
     so.run.tier = dv::parse_exec_tier(tier_flag);
-    so.run.params = parse_params(params_spec);
+    so.run.params = dv::programs::parse_params(params_spec);
     so.run.fold_path = dv::parse_fold_path(fold_flag);
     so.run.atomic_float = atomic_float;
     so.compact_threshold = compact_threshold;
